@@ -3,6 +3,10 @@
 // These are not paper artifacts; they exist to keep the substrate honest
 // (regressions here distort every paper-level measurement).
 
+#include <algorithm>
+#include <map>
+#include <memory>
+
 #include "benchmark/benchmark.h"
 
 #include "bench_util.h"
@@ -92,6 +96,72 @@ void BM_ScanFilter(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 10000);
 }
 BENCHMARK(BM_ScanFilter);
+
+/// T loaded with `n` rows, K = 0..n-1. Shared by the keyed benches of one
+/// size: each leaves the table with the same keys it found.
+EngineFixture& LoadedFixture(int64_t n) {
+  static std::map<int64_t, std::unique_ptr<EngineFixture>> fixtures;
+  std::unique_ptr<EngineFixture>& fx = fixtures[n];
+  if (fx == nullptr) {
+    fx = std::make_unique<EngineFixture>();
+    for (int64_t base = 0; base < n; base += 10000) {
+      std::string values;
+      for (int64_t k = base; k < std::min(n, base + 10000); ++k) {
+        if (k > base) values += ", ";
+        values += "(" + std::to_string(k) + ", 1.5)";
+      }
+      (void)fx->db.ExecuteScript(fx->sid, "INSERT INTO T VALUES " + values);
+    }
+  }
+  return *fx;
+}
+
+/// Visits the keys of an n-row table in a scattered order.
+int64_t NextKey(int64_t k, int64_t n) { return (k + 7919) % n; }
+
+void BM_PointSelectPk(benchmark::State& state) {
+  int64_t n = state.range(0);
+  EngineFixture& fx = LoadedFixture(n);
+  int64_t k = 0;
+  for (auto _ : state) {
+    auto r = fx.db.ExecuteScript(
+        fx.sid, "SELECT V FROM T WHERE K = " + std::to_string(k));
+    benchmark::DoNotOptimize(r);
+    k = NextKey(k, n);
+  }
+}
+BENCHMARK(BM_PointSelectPk)->Arg(10000)->Arg(100000);
+
+void BM_KeyedUpdatePk(benchmark::State& state) {
+  int64_t n = state.range(0);
+  EngineFixture& fx = LoadedFixture(n);
+  int64_t k = 0;
+  for (auto _ : state) {
+    auto r = fx.db.ExecuteScript(
+        fx.sid, "UPDATE T SET V = V + 1 WHERE K = " + std::to_string(k));
+    benchmark::DoNotOptimize(r);
+    k = NextKey(k, n);
+  }
+}
+BENCHMARK(BM_KeyedUpdatePk)->Arg(10000)->Arg(100000);
+
+/// One iteration deletes a row by key and re-inserts it, so the table
+/// keeps its size.
+void BM_KeyedDeletePk(benchmark::State& state) {
+  int64_t n = state.range(0);
+  EngineFixture& fx = LoadedFixture(n);
+  int64_t k = 0;
+  for (auto _ : state) {
+    std::string key = std::to_string(k);
+    auto d = fx.db.ExecuteScript(fx.sid, "DELETE FROM T WHERE K = " + key);
+    auto i = fx.db.ExecuteScript(fx.sid,
+                                 "INSERT INTO T VALUES (" + key + ", 1.5)");
+    benchmark::DoNotOptimize(d);
+    benchmark::DoNotOptimize(i);
+    k = NextKey(k, n);
+  }
+}
+BENCHMARK(BM_KeyedDeletePk)->Arg(10000)->Arg(100000);
 
 void BM_HashJoin(benchmark::State& state) {
   EngineFixture fx;

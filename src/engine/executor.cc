@@ -272,6 +272,101 @@ Result<StatementResult> Executor::Execute(const Statement& stmt) {
   return Status::Internal("bad statement kind");
 }
 
+Result<bool> Executor::ForEachIndexed(
+    const storage::Table& t, const std::string& index,
+    const IndexBounds& bounds, const storage::MvccSnapshot* snap,
+    bool key_order, bool reverse,
+    const std::function<Status(storage::RowId, const Row&)>& visit) {
+  std::vector<storage::RowId> rids;
+  if (index == "PRIMARY") {
+    ScanPkIndex(t, bounds, &rids);
+    if (snap != nullptr) ScanEntryMap(t.mvcc_dead_pk(), bounds, &rids);
+  } else if (const storage::SecondaryIndex* idx = t.FindIndex(index)) {
+    ScanIndex(*idx, bounds, &rids);
+    if (snap != nullptr) ScanEntryMap(idx->dead_entries, bounds, &rids);
+  } else {
+    return false;  // index dropped since planning
+  }
+  if (snap != nullptr) {
+    // The dead-entry maps are conservative (a rid may also still be live,
+    // or carry several superseded keys): dedup by rid and fall back to
+    // RowId order; the snapshot resolver below decides visibility per rid.
+    std::sort(rids.begin(), rids.end());
+    rids.erase(std::unique(rids.begin(), rids.end()), rids.end());
+  } else if (!key_order) {
+    // Preserve the heap's historical RowId enumeration order.
+    std::sort(rids.begin(), rids.end());
+  } else if (reverse) {
+    std::reverse(rids.begin(), rids.end());
+  }
+  for (storage::RowId rid : rids) {
+    const Row* row;
+    if (snap != nullptr) {
+      // A miss is not corruption here: the rid's versions are simply all
+      // invisible to this snapshot (inserted after it, or reclaimed keys
+      // swept conservatively).
+      row = t.MvccVersionAsOf(rid, *snap);
+      if (row == nullptr) continue;
+    } else {
+      row = t.Find(rid);
+      if (row == nullptr) {
+        return Status::Internal("index references missing row");
+      }
+    }
+    PHX_RETURN_IF_ERROR(visit(rid, *row));
+  }
+  return true;
+}
+
+Result<bool> Executor::ForEachCandidate(
+    const storage::Table& t, const AccessPath& path,
+    const storage::MvccSnapshot* snap, bool key_order, bool reverse,
+    const std::function<Status(storage::RowId, const Row&)>& visit) {
+  if (path.kind != AccessKind::kSeqScan) {
+    // Evaluate the bound expressions (all row-invariant) once. Any failure
+    // just falls back to the sequential scan below.
+    EvalEnv env0 = MakeEnv(nullptr, nullptr, nullptr);
+    auto eval = [&env0](const Expr* e, Value* out) {
+      auto v = EvalExpr(*e, env0);
+      if (v.ok()) *out = v.take();
+      return v.ok();
+    };
+    IndexBounds ib;
+    Value lo_v, hi_v;
+    bool ok = true;
+    for (const Expr* e : path.eq) {
+      ib.eq.emplace_back();
+      ok = ok && eval(e, &ib.eq.back());
+    }
+    if (ok && path.lo != nullptr && (ok = eval(path.lo, &lo_v))) {
+      ib.lo = &lo_v;
+      ib.lo_inclusive = path.lo_inclusive;
+    }
+    if (ok && path.hi != nullptr && (ok = eval(path.hi, &hi_v))) {
+      ib.hi = &hi_v;
+      ib.hi_inclusive = path.hi_inclusive;
+    }
+    if (ok) {
+      PHX_ASSIGN_OR_RETURN(bool found, ForEachIndexed(t, path.index, ib, snap,
+                                                      key_order, reverse,
+                                                      visit));
+      if (found) return key_order && snap == nullptr;
+    }
+  }
+  if (snap != nullptr) {
+    std::vector<std::pair<storage::RowId, const Row*>> visible;
+    t.MvccScanVisible(*snap, &visible);
+    for (const auto& [rid, row] : visible) {
+      PHX_RETURN_IF_ERROR(visit(rid, *row));
+    }
+  } else {
+    for (const auto& [rid, row] : t.rows()) {
+      PHX_RETURN_IF_ERROR(visit(rid, row));
+    }
+  }
+  return false;
+}
+
 Result<BoundRows> Executor::EvaluateFrom(const SelectStmt& sel) {
   BoundRows out;
   if (sel.from.empty()) {
@@ -356,7 +451,7 @@ Result<BoundRows> Executor::EvaluateFrom(const SelectStmt& sel) {
   // null-padding join, not before). When `path` names an index, candidate
   // rows are enumerated from it instead of the heap — in RowId order unless
   // `key_order` (the plan promised index order satisfies ORDER BY).
-  auto scan_table = [&](const Bound& b, const AccessPath* path,
+  auto scan_table = [&](const Bound& b, const AccessPath& path,
                         bool apply_pool, bool key_order,
                         bool reverse) -> Result<BoundRows> {
     BoundRows r;
@@ -372,126 +467,20 @@ Result<BoundRows> Executor::EvaluateFrom(const SelectStmt& sel) {
         }
       }
     }
-    auto keep_row = [&](const Row& row) -> Result<bool> {
-      EvalEnv env = MakeEnv(&r.schema, &r.qualifiers, &row);
-      for (size_t ci : applicable) {
-        PHX_ASSIGN_OR_RETURN(Value v, EvalExpr(*conjuncts[ci], env));
-        if (!Truthy(v)) return false;
-      }
-      return true;
-    };
-    bool used_index = false;
-    if (path != nullptr && path->kind != AccessKind::kSeqScan) {
-      // Evaluate the bound expressions (all row-invariant). Any failure
-      // just falls back to the sequential scan below.
-      IndexBounds ib;
-      Value lo_v, hi_v;
-      bool ok = true;
-      EvalEnv env0 = MakeEnv(nullptr, nullptr, nullptr);
-      for (const Expr* e : path->eq) {
-        auto v = EvalExpr(*e, env0);
-        if (!v.ok()) {
-          ok = false;
-          break;
-        }
-        ib.eq.push_back(v.take());
-      }
-      if (ok && path->lo != nullptr) {
-        auto v = EvalExpr(*path->lo, env0);
-        if (v.ok()) {
-          lo_v = v.take();
-          ib.lo = &lo_v;
-          ib.lo_inclusive = path->lo_inclusive;
-        } else {
-          ok = false;
-        }
-      }
-      if (ok && path->hi != nullptr) {
-        auto v = EvalExpr(*path->hi, env0);
-        if (v.ok()) {
-          hi_v = v.take();
-          ib.hi = &hi_v;
-          ib.hi_inclusive = path->hi_inclusive;
-        } else {
-          ok = false;
-        }
-      }
-      const storage::MvccSnapshot* snap = snap_for(b.table);
-      std::vector<storage::RowId> rids;
-      if (ok) {
-        if (path->index == "PRIMARY") {
-          ScanPkIndex(*b.table, ib, &rids);
-          if (snap != nullptr) {
-            ScanEntryMap(b.table->mvcc_dead_pk(), ib, &rids);
-          }
-        } else if (const storage::SecondaryIndex* idx =
-                       b.table->FindIndex(path->index)) {
-          ScanIndex(*idx, ib, &rids);
-          if (snap != nullptr) ScanEntryMap(idx->dead_entries, ib, &rids);
-        } else {
-          ok = false;  // index dropped since planning
-        }
-      }
-      if (ok) {
-        used_index = true;
-        if (snap != nullptr) {
-          // The dead-entry maps are conservative (a rid may also still be
-          // live, or carry several superseded keys): dedup by rid and fall
-          // back to RowId order; the snapshot resolver below decides
-          // visibility per rid.
-          std::sort(rids.begin(), rids.end());
-          rids.erase(std::unique(rids.begin(), rids.end()), rids.end());
-        } else if (!key_order) {
-          // Preserve the heap's historical RowId enumeration order.
-          std::sort(rids.begin(), rids.end());
-        } else if (reverse) {
-          std::reverse(rids.begin(), rids.end());
-        }
-        for (storage::RowId rid : rids) {
-          const Row* row;
-          if (snap != nullptr) {
-            // A miss is not corruption here: the rid's versions are simply
-            // all invisible to this snapshot (inserted after it, or
-            // reclaimed keys swept conservatively).
-            row = b.table->MvccVersionAsOf(rid, *snap);
-            if (row == nullptr) continue;
-          } else {
-            row = b.table->Find(rid);
-            if (row == nullptr) {
-              return Status::Internal("index references missing row");
-            }
-          }
-          PHX_ASSIGN_OR_RETURN(bool keep, keep_row(*row));
-          if (keep) {
-            r.rows.push_back(*row);
-            r.rids.push_back(rid);
-          }
-        }
-        r.ordered = key_order && snap == nullptr;
-      }
-    }
-    if (!used_index) {
-      const storage::MvccSnapshot* snap = snap_for(b.table);
-      if (snap != nullptr) {
-        std::vector<std::pair<storage::RowId, const Row*>> visible;
-        b.table->MvccScanVisible(*snap, &visible);
-        for (const auto& [rid, row] : visible) {
-          PHX_ASSIGN_OR_RETURN(bool keep, keep_row(*row));
-          if (keep) {
-            r.rows.push_back(*row);
-            r.rids.push_back(rid);
-          }
-        }
-      } else {
-        for (const auto& [rid, row] : b.table->rows()) {
-          PHX_ASSIGN_OR_RETURN(bool keep, keep_row(row));
-          if (keep) {
-            r.rows.push_back(row);
-            r.rids.push_back(rid);
-          }
-        }
-      }
-    }
+    PHX_ASSIGN_OR_RETURN(
+        r.ordered,
+        ForEachCandidate(
+            *b.table, path, snap_for(b.table), key_order, reverse,
+            [&](storage::RowId rid, const Row& row) -> Status {
+              EvalEnv env = MakeEnv(&r.schema, &r.qualifiers, &row);
+              for (size_t ci : applicable) {
+                PHX_ASSIGN_OR_RETURN(Value v, EvalExpr(*conjuncts[ci], env));
+                if (!Truthy(v)) return Status::Ok();
+              }
+              r.rows.push_back(row);
+              r.rids.push_back(rid);
+              return Status::Ok();
+            }));
     for (size_t ci : applicable) used[ci] = true;
     r.single_table = b.table;
     return r;
@@ -499,7 +488,7 @@ Result<BoundRows> Executor::EvaluateFrom(const SelectStmt& sel) {
 
   PHX_ASSIGN_OR_RETURN(
       BoundRows cur,
-      scan_table(tables[0], plan.enabled ? &plan.base : nullptr,
+      scan_table(tables[0], plan.base,
                  /*apply_pool=*/true, plan.order_by_index,
                  plan.order_reverse));
   if (tables.size() == 1) return cur;
@@ -621,54 +610,34 @@ Result<BoundRows> Executor::EvaluateFrom(const SelectStmt& sel) {
           joined.qualifiers.push_back(shell.qualifiers[i]);
         }
         const storage::MvccSnapshot* rsnap = snap_for(rt);
-        std::vector<storage::RowId> rids;
         for (const Row& lrow : cur.rows) {
           const Value& key = lrow[cur_col];
           if (key.is_null()) continue;
           IndexBounds ib;
           ib.eq.push_back(key);
-          rids.clear();
-          if (use_pk) {
-            ScanPkIndex(*rt, ib, &rids);
-            if (rsnap != nullptr) ScanEntryMap(rt->mvcc_dead_pk(), ib, &rids);
-          } else {
-            ScanIndex(*sidx, ib, &rids);
-            if (rsnap != nullptr) ScanEntryMap(sidx->dead_entries, ib, &rids);
-          }
-          if (rsnap != nullptr) {
-            std::sort(rids.begin(), rids.end());
-            rids.erase(std::unique(rids.begin(), rids.end()), rids.end());
-          }
-          for (storage::RowId rid : rids) {
-            const Row* rrow =
-                rsnap != nullptr ? rt->MvccVersionAsOf(rid, *rsnap)
-                                 : rt->Find(rid);
-            if (rrow == nullptr) {
-              if (rsnap != nullptr) continue;  // invisible to the snapshot
-              return Status::Internal("index references missing row");
-            }
+          auto probe = [&](storage::RowId, const Row& rrow) -> Status {
             // A dead index entry can resolve to a version whose key has
             // since changed; the live path needs no check (the index entry
             // is the key), but the snapshot path must re-verify the join
             // equality the planner consumed.
             if (rsnap != nullptr &&
-                (*rrow)[static_cast<size_t>(rhs_col)].Compare(key) != 0) {
-              continue;
+                rrow[static_cast<size_t>(rhs_col)].Compare(key) != 0) {
+              return Status::Ok();
             }
-            bool keep = true;
-            EvalEnv env = MakeEnv(&shell.schema, &shell.qualifiers, rrow);
+            EvalEnv env = MakeEnv(&shell.schema, &shell.qualifiers, &rrow);
             for (size_t ci : rhs_applicable) {
               PHX_ASSIGN_OR_RETURN(Value v, EvalExpr(*conjuncts[ci], env));
-              if (!Truthy(v)) {
-                keep = false;
-                break;
-              }
+              if (!Truthy(v)) return Status::Ok();
             }
-            if (!keep) continue;
             Row combined = lrow;
-            combined.insert(combined.end(), rrow->begin(), rrow->end());
+            combined.insert(combined.end(), rrow.begin(), rrow.end());
             joined.rows.push_back(std::move(combined));
-          }
+            return Status::Ok();
+          };
+          PHX_RETURN_IF_ERROR(ForEachIndexed(*rt, jplan->index, ib, rsnap,
+                                             /*key_order=*/true,
+                                             /*reverse=*/false, probe)
+                                  .status());
         }
         for (size_t ci : rhs_applicable) used[ci] = true;
         PHX_RETURN_IF_ERROR(filter_joined(&joined));
@@ -679,7 +648,7 @@ Result<BoundRows> Executor::EvaluateFrom(const SelectStmt& sel) {
 
     PHX_ASSIGN_OR_RETURN(
         BoundRows rhs,
-        scan_table(tables[ti], /*path=*/nullptr,
+        scan_table(tables[ti], AccessPath{},
                    /*apply_pool=*/left_spec == nullptr,
                    /*key_order=*/false, /*reverse=*/false));
     rhs.single_table = nullptr;
@@ -1060,11 +1029,6 @@ Result<StatementResult> Executor::ExecuteAggregate(const SelectStmt& sel,
   return result;
 }
 
-Status Executor::ApplyOrderLimit(const SelectStmt&, const BoundRows*,
-                                 const std::vector<Row>*, StatementResult*) {
-  return Status::Ok();  // folded into SortAndTrim; kept for API stability
-}
-
 Result<StatementResult> Executor::ExecuteInsert(const sql::InsertStmt& ins) {
   storage::Table* t = db_->store()->Get(ins.table);
   if (t == nullptr) return Status::SqlError("no such table: " + ins.table);
@@ -1120,6 +1084,40 @@ Result<StatementResult> Executor::ExecuteInsert(const sql::InsertStmt& ins) {
   return StatementResult::Affected(inserted);
 }
 
+Result<std::vector<std::pair<storage::RowId, const Row*>>>
+Executor::DmlMatches(const storage::Table& t, const std::string& binding,
+                     const Expr* where) {
+  std::vector<std::string> quals(t.schema().num_columns(), binding);
+  std::vector<std::pair<storage::RowId, const Row*>> matches;
+  // Live rows only: DML holds the exclusive lock on the current rows, so it
+  // reads no snapshot. Candidates arrive in RowId order and the full WHERE
+  // is re-applied to each, so changes (and their WAL ops) happen in the
+  // order a heap scan would produce.
+  PHX_RETURN_IF_ERROR(
+      ForEachCandidate(
+          t, PlanDml(t, binding, where), /*snap=*/nullptr,
+          /*key_order=*/false, /*reverse=*/false,
+          [&](storage::RowId rid, const Row& row) -> Status {
+            if (where != nullptr) {
+              EvalEnv env = MakeEnv(&t.schema(), &quals, &row);
+              PHX_ASSIGN_OR_RETURN(Value v, EvalExpr(*where, env));
+              if (!Truthy(v)) return Status::Ok();
+            }
+            matches.emplace_back(rid, &row);
+            return Status::Ok();
+          })
+          .status());
+  return matches;
+}
+
+AccessPath Executor::PlanDml(const storage::Table& t,
+                             const std::string& binding,
+                             const Expr* where) const {
+  std::vector<const Expr*> conjuncts;
+  SplitConjuncts(where, &conjuncts);
+  return PlanTableAccess(t, binding, conjuncts, db_->index_planner_enabled());
+}
+
 Result<StatementResult> Executor::ExecuteUpdate(const sql::UpdateStmt& upd) {
   storage::Table* t = db_->store()->Get(upd.table);
   if (t == nullptr) return Status::SqlError("no such table: " + upd.table);
@@ -1133,16 +1131,14 @@ Result<StatementResult> Executor::ExecuteUpdate(const sql::UpdateStmt& upd) {
     sets.emplace_back(idx, e.get());
   }
 
-  // Two passes: collect matching rids first (mutating while scanning a
-  // std::map is fine for values but we also change the PK index).
+  // Two passes: every new row is computed before the first change, so a
+  // rewritten key can neither be revisited nor hide a later match.
+  PHX_ASSIGN_OR_RETURN(auto matches,
+                       DmlMatches(*t, upd.table, upd.where.get()));
   std::vector<std::pair<storage::RowId, Row>> updates;
-  for (const auto& [rid, row] : t->rows()) {
-    EvalEnv env = MakeEnv(&schema, &quals, &row);
-    if (upd.where != nullptr) {
-      PHX_ASSIGN_OR_RETURN(Value v, EvalExpr(*upd.where, env));
-      if (!Truthy(v)) continue;
-    }
-    Row new_row = row;
+  for (const auto& [rid, row] : matches) {
+    EvalEnv env = MakeEnv(&schema, &quals, row);
+    Row new_row = *row;
     for (const auto& [idx, e] : sets) {
       PHX_ASSIGN_OR_RETURN(Value v, EvalExpr(*e, env));  // RHS sees old row
       new_row[idx] = std::move(v);
@@ -1159,19 +1155,9 @@ Result<StatementResult> Executor::ExecuteUpdate(const sql::UpdateStmt& upd) {
 Result<StatementResult> Executor::ExecuteDelete(const sql::DeleteStmt& del) {
   storage::Table* t = db_->store()->Get(del.table);
   if (t == nullptr) return Status::SqlError("no such table: " + del.table);
-  const Schema& schema = t->schema();
-  std::vector<std::string> quals(schema.num_columns(), del.table);
-
-  std::vector<storage::RowId> victims;
-  for (const auto& [rid, row] : t->rows()) {
-    if (del.where != nullptr) {
-      EvalEnv env = MakeEnv(&schema, &quals, &row);
-      PHX_ASSIGN_OR_RETURN(Value v, EvalExpr(*del.where, env));
-      if (!Truthy(v)) continue;
-    }
-    victims.push_back(rid);
-  }
-  for (storage::RowId rid : victims) {
+  PHX_ASSIGN_OR_RETURN(auto victims,
+                       DmlMatches(*t, del.table, del.where.get()));
+  for (const auto& [rid, row] : victims) {
     PHX_RETURN_IF_ERROR(db_->TxDelete(session_->txn.get(), t, rid));
   }
   return StatementResult::Affected(static_cast<int64_t>(victims.size()));
@@ -1351,19 +1337,18 @@ Result<StatementResult> Executor::ExecuteExplain(const sql::Statement& inner) {
     }
     case StmtKind::kUpdate:
     case StmtKind::kDelete: {
-      // Honest reporting: the UPDATE/DELETE executors scan the heap
-      // sequentially (no access-path planning), so EXPLAIN must not claim
-      // an index path it would never take.
+      bool is_update = inner.kind == StmtKind::kUpdate;
       const std::string& table =
-          inner.kind == StmtKind::kUpdate ? inner.update->table
-                                          : inner.del->table;
-      const sql::Expr* where = inner.kind == StmtKind::kUpdate
-                                   ? inner.update->where.get()
-                                   : inner.del->where.get();
+          is_update ? inner.update->table : inner.del->table;
+      const sql::Expr* where =
+          is_update ? inner.update->where.get() : inner.del->where.get();
       PHX_ASSIGN_OR_RETURN(storage::Table * t, require_table(table));
-      std::string verb = inner.kind == StmtKind::kUpdate ? "UPDATE" : "DELETE";
-      emit(verb + " " + t->name() + ": seq scan" +
-           (where != nullptr ? " filtered by WHERE" : " (all rows)"));
+      SelectPlan plan;
+      plan.enabled = db_->index_planner_enabled();
+      plan.base_table = table;
+      plan.base = PlanDml(*t, table, where);
+      emit(std::string(is_update ? "UPDATE " : "DELETE ") + t->name());
+      for (std::string& line : plan.Describe()) emit("  " + line);
       return r;
     }
     default:

@@ -1,6 +1,7 @@
 #ifndef PHOENIX_ENGINE_EXECUTOR_H_
 #define PHOENIX_ENGINE_EXECUTOR_H_
 
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -17,6 +18,8 @@ namespace phoenix::eng {
 
 class Database;
 struct Session;
+struct AccessPath;
+struct IndexBounds;
 
 /// The server-side outcome of one statement: either a materialized result
 /// set or an affected-row count (never both).
@@ -103,14 +106,45 @@ class Executor {
   /// executes the inner statement and never mutates any table.
   Result<StatementResult> ExecuteExplain(const sql::Statement& inner);
 
+  /// Visits the rows of `t` whose key in `index` ("PRIMARY" or a secondary
+  /// index name) lies within `bounds`, resolved as described for
+  /// ForEachCandidate. Returns false, visiting nothing, when the index is
+  /// gone.
+  Result<bool> ForEachIndexed(
+      const storage::Table& t, const std::string& index,
+      const IndexBounds& bounds, const storage::MvccSnapshot* snap,
+      bool key_order, bool reverse,
+      const std::function<Status(storage::RowId, const Row&)>& visit);
+
+  /// Visits the candidate rows of `t` for `path` — the one rid enumeration
+  /// SELECT and DML share. An index path probes PRIMARY or the named
+  /// secondary index with its bounds evaluated once; when a bound fails to
+  /// evaluate or the index is gone it falls back to a seq scan. With `snap`
+  /// set, rows resolve through the version chains as of `snap` (index
+  /// probes also walk the dead-entry maps); without it only live rows and
+  /// live index entries are read. Candidates arrive in RowId order, or in
+  /// index-key order (backwards when `reverse`) if `key_order` is asked of
+  /// a live index probe. Candidates are a superset of the matches: `visit`
+  /// must re-apply every predicate. Returns whether key order was delivered.
+  Result<bool> ForEachCandidate(
+      const storage::Table& t, const AccessPath& path,
+      const storage::MvccSnapshot* snap, bool key_order, bool reverse,
+      const std::function<Status(storage::RowId, const Row&)>& visit);
+
+  /// The access path UPDATE/DELETE take on `t` for `where`.
+  AccessPath PlanDml(const storage::Table& t, const std::string& binding,
+                     const sql::Expr* where) const;
+
+  /// The live rows of `t` satisfying `where`, in RowId order, collected in
+  /// full before the caller changes any of them.
+  Result<std::vector<std::pair<storage::RowId, const Row*>>> DmlMatches(
+      const storage::Table& t, const std::string& binding,
+      const sql::Expr* where);
+
   /// Aggregation/grouping pipeline for selects containing aggregates or
   /// GROUP BY.
   Result<StatementResult> ExecuteAggregate(const sql::SelectStmt& sel,
                                            BoundRows input);
-
-  Status ApplyOrderLimit(const sql::SelectStmt& sel, const BoundRows* input,
-                         const std::vector<Row>* input_rows,
-                         StatementResult* result);
 
   EvalEnv MakeEnv(const Schema* schema,
                   const std::vector<std::string>* qualifiers,

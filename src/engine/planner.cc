@@ -332,6 +332,14 @@ JoinPlan ChooseJoinStrategy(double est_outer, const storage::Table& rhs,
   return jp;
 }
 
+AccessPath PlanTableAccess(const storage::Table& t, const std::string& binding,
+                           const std::vector<const Expr*>& conjuncts,
+                           bool enabled) {
+  std::vector<std::string> quals(t.schema().num_columns(), binding);
+  return ChooseAccessPath(t, CollectBounds(conjuncts, t.schema(), quals),
+                          enabled);
+}
+
 SelectPlan PlanSelect(const sql::SelectStmt& sel,
                       const storage::TableStore& store, bool enabled) {
   SelectPlan plan;
@@ -358,15 +366,10 @@ SelectPlan PlanSelect(const sql::SelectStmt& sel,
     }
   }
 
-  Schema base_schema;
-  std::vector<std::string> base_quals;
-  for (const Column& c : tables[0]->schema().columns()) {
-    base_schema.AddColumn(c);
-    base_quals.push_back(plan.base_table);
-  }
-  std::map<int, ColumnBounds> bounds =
-      CollectBounds(conjuncts, base_schema, base_quals);
-  plan.base = ChooseAccessPath(*tables[0], bounds, enabled);
+  plan.base = PlanTableAccess(*tables[0], plan.base_table, conjuncts, enabled);
+  const Schema& base_schema = tables[0]->schema();
+  std::vector<std::string> base_quals(base_schema.num_columns(),
+                                      plan.base_table);
 
   // ORDER BY satisfaction (single-table only; join output interleaves).
   if (tables.size() == 1 && enabled) {

@@ -23,7 +23,7 @@ enum class JoinStrategy : uint8_t { kHash, kIndexNestedLoop, kCross };
 
 /// The chosen way to read one base table. `eq` holds the row-invariant
 /// expressions bound to the leading index key columns; `lo`/`hi` optionally
-/// bound the next key column. All pointers borrow from the SelectStmt being
+/// bound the next key column. All pointers borrow from the statement being
 /// planned — a plan never outlives its statement. Every conjunct the bounds
 /// came from is still re-applied to the scanned rows, so a plan can only
 /// over-enumerate, never produce wrong results.
@@ -64,6 +64,15 @@ struct SelectPlan {
   /// Human-readable plan, one line per row of the EXPLAIN result set.
   std::vector<std::string> Describe() const;
 };
+
+/// Plans how to read one table: collects the `col OP <row-invariant>`
+/// bounds among `conjuncts` (columns resolve against `t` under the binding
+/// name `binding`) and picks the cheapest access path. PlanSelect uses it
+/// for its base table; UPDATE, DELETE and their EXPLAIN use it for their
+/// target table. Disabled, or below the small-table guard, it is a seq scan.
+AccessPath PlanTableAccess(const storage::Table& t, const std::string& binding,
+                           const std::vector<const sql::Expr*>& conjuncts,
+                           bool enabled);
 
 /// Plans `sel` against the current catalog. Missing tables yield a trivial
 /// plan (the executor reports the error). With `enabled` false the plan is

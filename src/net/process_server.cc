@@ -312,8 +312,10 @@ void ProcessServerHandle::ArmKillOnRendezvous() {
           if (pid_ > 0 && !reaped_) pid = pid_;
         }
         if (pid > 0) {
-          ::kill(pid, SIGKILL);
+          // Count first: a caller polling running() may reap the child and
+          // read the counter before this thread runs again after kill().
           rendezvous_kills_.fetch_add(1);
+          ::kill(pid, SIGKILL);
         }
         return;
       }

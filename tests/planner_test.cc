@@ -1,8 +1,9 @@
 // Ordered secondary indexes + the cost-aware access-path planner: plan
 // selection (asserted through EXPLAIN), result equivalence with the planner
-// on and off, index maintenance through DML/rollback/DDL-undo, recovery of
-// index definitions from the WAL and from v3 checkpoint images, and
-// backward acceptance of pre-index (v2) images.
+// on and off for SELECT and for keyed UPDATE/DELETE, index maintenance
+// through DML/rollback/DDL-undo, recovery of index definitions from the WAL
+// and from v3 checkpoint images, and backward acceptance of pre-index (v2)
+// images.
 
 #include <map>
 #include <set>
@@ -47,6 +48,86 @@ testing::AssertionResult IndexesConsistent(const storage::Table& t) {
   return testing::AssertionSuccess();
 }
 
+/// The PK index must map exactly the live rows' keys to their rids.
+testing::AssertionResult PkConsistent(const storage::Table& t) {
+  if (t.pk_index().size() != t.num_rows()) {
+    return testing::AssertionFailure()
+           << "PK index has " << t.pk_index().size() << " keys for "
+           << t.num_rows() << " rows";
+  }
+  for (const auto& [rid, row] : t.rows()) {
+    auto it = t.pk_index().find(storage::Table::KeyFor(t.pk_columns(), row));
+    if (it == t.pk_index().end() || it->second != rid) {
+      return testing::AssertionFailure() << "PK index misses rid " << rid;
+    }
+  }
+  return testing::AssertionSuccess();
+}
+
+/// Two databases fed the same statements, one with the planner on and one
+/// with it off. DML must change the same rows in the same order either
+/// way, so the tables and the WAL come out byte-identical.
+class DmlTwins {
+ public:
+  DmlTwins() {
+    for (int i = 0; i < 2; ++i) {
+      dbs_[i] = std::make_unique<Database>(&disks_[i]);
+      EXPECT_TRUE(dbs_[i]->Open().ok());
+      dbs_[i]->set_index_planner(i == 0);
+      sids_[i] = *dbs_[i]->CreateSession("t");
+    }
+  }
+
+  /// Runs `sql` on both; both must fail alike or report the same count.
+  /// Returns the affected count (-1 on failure).
+  int64_t Run(const std::string& sql) {
+    int64_t affected[2];
+    StatusCode codes[2];
+    for (int i = 0; i < 2; ++i) {
+      auto r = dbs_[i]->ExecuteScript(sids_[i], sql);
+      codes[i] = r.status().code();
+      affected[i] = r.ok() ? r->back().affected : -1;
+    }
+    EXPECT_EQ(codes[0], codes[1]) << sql;
+    EXPECT_EQ(affected[0], affected[1]) << sql;
+    return affected[0];
+  }
+
+  Database& on() { return *dbs_[0]; }
+
+  testing::AssertionResult Identical() {
+    std::string snap[2], wal[2];
+    for (int i = 0; i < 2; ++i) {
+      Encoder enc;
+      dbs_[i]->store()->EncodeSnapshot(&enc);
+      snap[i] = enc.Take();
+      wal[i] = disks_[i].Read(dbs_[i]->durability()->wal_file()).value();
+    }
+    if (snap[0] != snap[1]) {
+      return testing::AssertionFailure() << "table snapshots differ";
+    }
+    if (wal[0] != wal[1]) return testing::AssertionFailure() << "WALs differ";
+    return testing::AssertionSuccess();
+  }
+
+ private:
+  storage::SimDisk disks_[2];
+  std::unique_ptr<Database> dbs_[2];
+  uint64_t sids_[2] = {0, 0};
+};
+
+/// 64 rows: K unique (PK), V = K % 8 (selective), W = K % 2 (not).
+std::string SeedSql() {
+  std::string ins = "INSERT INTO T VALUES ";
+  for (int k = 0; k < 64; ++k) {
+    if (k > 0) ins += ", ";
+    ins += "(" + std::to_string(k) + ", " + std::to_string(k % 8) + ", " +
+           std::to_string(k % 2) + ")";
+  }
+  return "CREATE TABLE T (K INTEGER PRIMARY KEY, V INTEGER, W INTEGER); " +
+         ins;
+}
+
 class PlannerTest : public ::testing::Test {
  protected:
   void Start() {
@@ -77,17 +158,7 @@ class PlannerTest : public ::testing::Test {
     return db_->ExecuteScript(sid_, sql).status();
   }
 
-  /// 64 rows: K unique (PK), V = K % 8 (selective), W = K % 2 (not).
-  void SeedT() {
-    Exec("CREATE TABLE T (K INTEGER PRIMARY KEY, V INTEGER, W INTEGER)");
-    std::string ins = "INSERT INTO T VALUES ";
-    for (int k = 0; k < 64; ++k) {
-      if (k > 0) ins += ", ";
-      ins += "(" + std::to_string(k) + ", " + std::to_string(k % 8) + ", " +
-             std::to_string(k % 2) + ")";
-    }
-    Exec(ins);
-  }
+  void SeedT() { Exec(SeedSql()); }
 
   std::string ExplainText(const std::string& select) {
     StatementResult r = Exec("EXPLAIN " + select);
@@ -202,6 +273,36 @@ TEST_F(PlannerTest, ExplainJoinPicksIndexNestedLoopOnPk) {
   ExpectSameRows("SELECT L.ID, R.P FROM L, R WHERE L.RK = R.K ORDER BY L.ID");
 }
 
+TEST_F(PlannerTest, ExplainDmlReportsTheAccessPathItTakes) {
+  SeedT();
+  Exec("CREATE INDEX IV ON T (V)");
+  for (const std::string verb : {"UPDATE T SET W = 9", "DELETE FROM T"}) {
+    std::string eq = ExplainText(verb + " WHERE K = 5");
+    EXPECT_EQ(eq.rfind(verb.substr(0, 6) + " T\n", 0), 0u) << eq;
+    EXPECT_NE(eq.find("INDEX EQ PRIMARY"), std::string::npos) << eq;
+    std::string pk = ExplainText(verb + " WHERE K BETWEEN 10 AND 20");
+    EXPECT_NE(pk.find("INDEX RANGE PRIMARY"), std::string::npos) << pk;
+    std::string iv = ExplainText(verb + " WHERE V BETWEEN 2 AND 3");
+    EXPECT_NE(iv.find("INDEX RANGE IV"), std::string::npos) << iv;
+    // Non-sargable shapes: arithmetic on the key, a disjunction, no WHERE.
+    for (const std::string where :
+         {" WHERE K + 0 = 5", " WHERE K = 5 OR K = 6", ""}) {
+      std::string seq = ExplainText(verb + where);
+      EXPECT_NE(seq.find("SEQ SCAN"), std::string::npos) << verb << where;
+    }
+    db_->set_index_planner(false);
+    std::string off = ExplainText(verb + " WHERE K = 5");
+    EXPECT_NE(off.find("planner: off"), std::string::npos) << off;
+    EXPECT_NE(off.find("SEQ SCAN"), std::string::npos) << off;
+    db_->set_index_planner(true);
+  }
+  Exec("CREATE TABLE S (K INTEGER PRIMARY KEY, V INTEGER)");
+  Exec("INSERT INTO S VALUES (1, 1), (2, 2), (3, 3)");
+  std::string small = ExplainText("UPDATE S SET V = 0 WHERE K = 2");
+  EXPECT_NE(small.find("SEQ SCAN"), std::string::npos) << small;
+  EXPECT_EQ(Exec("SELECT COUNT(*) AS N FROM T").rows[0][0].AsInt64(), 64);
+}
+
 TEST_F(PlannerTest, ExplainErrorsLikeSelectOnMissingTable) {
   EXPECT_EQ(TryExec("EXPLAIN SELECT * FROM NOPE").code(),
             StatusCode::kSqlError);
@@ -222,6 +323,88 @@ TEST_F(PlannerTest, ResultsMatchWithPlannerOnAndOff) {
   ExpectSameRows("SELECT K FROM T ORDER BY K DESC");
   ExpectSameRows("SELECT V, COUNT(*) AS N FROM T WHERE V >= 2 "
                  "GROUP BY V ORDER BY V");
+}
+
+TEST(PlannerDmlTest, DmlMatchesWithPlannerOnAndOff) {
+  DmlTwins twins;
+  twins.Run(SeedSql());
+  twins.Run("CREATE INDEX IV ON T (V)");
+  twins.Run("INSERT INTO T VALUES (100, NULL, NULL)");
+  const char* shapes[] = {
+      "K = 5",         "K = 5.0",          "5 = K",
+      "K = 999",       "K BETWEEN 10 AND 20", "K > 50",
+      "K >= 60",       "K < 3",            "K <= 3 AND W = 1",
+      "V = 3",         "V BETWEEN 4 AND 5", "V = 3 AND K > 20",
+      "V > 5.5",       "V IS NULL",        "V = NULL",
+      "K = 5 OR K = 7", "K IN (1, 2, 3)",  "K + 0 = 9",
+  };
+  for (const char* where : shapes) {
+    std::string w = where;
+    twins.Run("UPDATE T SET W = W + 10 WHERE " + w);
+    twins.Run("UPDATE T SET V = V + 1, W = 0 WHERE " + w);
+    ASSERT_TRUE(twins.Identical()) << w;
+  }
+  for (const char* where : shapes) {
+    twins.Run(std::string("DELETE FROM T WHERE ") + where);
+    ASSERT_TRUE(twins.Identical()) << where;
+  }
+  const storage::Table* t = twins.on().store()->Get("T");
+  EXPECT_TRUE(PkConsistent(*t));
+  EXPECT_TRUE(IndexesConsistent(*t));
+}
+
+TEST(PlannerDmlTest, UpdateRewritingTheProbedKey) {
+  DmlTwins twins;
+  twins.Run(SeedSql());
+  twins.Run("CREATE INDEX IV ON T (V)");
+  // The probe walks K in [10, 20] while the statement moves every match
+  // out of that range: each row must change exactly once.
+  EXPECT_EQ(twins.Run("UPDATE T SET K = K + 1000 WHERE K BETWEEN 10 AND 20"),
+            11);
+  EXPECT_EQ(twins.Run("UPDATE T SET V = V + 8 WHERE V BETWEEN 0 AND 7"), 64);
+  EXPECT_TRUE(twins.Identical());
+  Database& db = twins.on();
+  uint64_t sid = *db.CreateSession("check");
+  auto count = [&](const std::string& where) {
+    auto r =
+        db.ExecuteScript(sid, "SELECT COUNT(*) AS N FROM T WHERE " + where);
+    EXPECT_TRUE(r.ok()) << where;
+    return r.ok() ? r->back().rows[0][0].AsInt64() : -1;
+  };
+  EXPECT_EQ(count("K BETWEEN 10 AND 20"), 0);
+  EXPECT_EQ(count("K BETWEEN 1010 AND 1020"), 11);
+  EXPECT_EQ(count("V >= 8"), 64);
+  const storage::Table* t = db.store()->Get("T");
+  EXPECT_TRUE(PkConsistent(*t));
+  EXPECT_TRUE(IndexesConsistent(*t));
+}
+
+TEST(PlannerDmlTest, PkCollisionMidStatementRollsBackRowsAndIndexes) {
+  DmlTwins twins;
+  twins.Run(SeedSql());
+  twins.Run("CREATE INDEX IV ON T (V)");
+  twins.Run("INSERT INTO T VALUES (115, 3, 1)");
+  Encoder before_enc;
+  twins.on().store()->EncodeSnapshot(&before_enc);
+  std::string before = before_enc.Take();
+  // K = 10..14 move to 110..114 first; K = 15 then collides with 115.
+  twins.Run("BEGIN");
+  EXPECT_EQ(twins.Run("UPDATE T SET K = K + 100, V = V + 1 "
+                      "WHERE K BETWEEN 10 AND 20"),
+            -1);
+  // Statement atomicity: the five applied changes are undone, index
+  // entries included, and the transaction stays usable.
+  Encoder after_enc;
+  twins.on().store()->EncodeSnapshot(&after_enc);
+  EXPECT_EQ(after_enc.Take(), before);
+  const storage::Table* t = twins.on().store()->Get("T");
+  EXPECT_TRUE(PkConsistent(*t));
+  EXPECT_TRUE(IndexesConsistent(*t));
+  EXPECT_EQ(twins.Run("DELETE FROM T WHERE K BETWEEN 10 AND 20"), 11);
+  twins.Run("COMMIT");
+  EXPECT_TRUE(PkConsistent(*t));
+  EXPECT_TRUE(IndexesConsistent(*t));
+  EXPECT_TRUE(twins.Identical());
 }
 
 TEST_F(PlannerTest, OrderByIndexReturnsSortedRows) {
